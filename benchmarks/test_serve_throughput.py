@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from repro.core.transfer import linear_evaluation
-from repro.serve import EngineConfig, InProcessClient, ServingEngine, export_artifact
+from repro.serve import EngineConfig, ServingEngine, export_artifact
 
 #: Load profile: enough requests for stable percentiles, small enough
 #: for a CI smoke job.
@@ -36,7 +36,7 @@ REQUESTS_PER_CLIENT = 25
 SPARSITY = 0.8
 
 
-def _run_load(client: InProcessClient, samples, clients: int, per_client: int):
+def _run_load(engine: ServingEngine, samples, clients: int, per_client: int):
     """Drive ``clients`` threads of single-sample requests; return latencies."""
     latencies = [[] for _ in range(clients)]
     barrier = threading.Barrier(clients + 1)
@@ -46,7 +46,7 @@ def _run_load(client: InProcessClient, samples, clients: int, per_client: int):
         for request in range(per_client):
             sample = samples[(index * per_client + request) % len(samples)]
             begin = time.perf_counter()
-            client.predict(sample[None])
+            engine.predict(sample[None])
             latencies[index].append(time.perf_counter() - begin)
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(clients)]
@@ -91,21 +91,19 @@ def test_serve_throughput_batched_vs_single(context, tmp_path, run_once):
 
     def measure() -> dict:
         with ServingEngine(artifact_path, EngineConfig(max_batch=1, max_wait_ms=0.0)) as engine:
-            client = InProcessClient(engine)
-            client.predict(samples[0][None])  # warm the forward path
+            engine.predict(samples[0][None])  # warm the forward path
             # One-request-at-a-time baseline: a single closed loop, the
             # throughput a server without batching would sustain.
-            single, single_elapsed = _run_load(client, samples, clients=1,
+            single, single_elapsed = _run_load(engine, samples, clients=1,
                                                per_client=CLIENTS * REQUESTS_PER_CLIENT)
         # ``max_batch`` tuned to the client count: a window closes the
         # moment every in-flight client is aboard instead of burning the
         # whole wait budget hoping for traffic that cannot arrive.
         batched_config = EngineConfig(max_batch=CLIENTS, max_wait_ms=5.0)
         with ServingEngine(artifact_path, batched_config) as engine:
-            client = InProcessClient(engine)
-            client.predict(samples[0][None])
+            engine.predict(samples[0][None])
             batched, batched_elapsed = _run_load(
-                client, samples, clients=CLIENTS, per_client=REQUESTS_PER_CLIENT
+                engine, samples, clients=CLIENTS, per_client=REQUESTS_PER_CLIENT
             )
             batching_stats = engine.stats()["batching"]
         baseline = _summary(single, single_elapsed)

@@ -39,6 +39,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.obs.registry import default_registry
+from repro.serve.errors import QueueFullError, ServingError, ServingTimeoutError
 from repro.tensor.dtypes import ACCUMULATION_DTYPE
 
 __all__ = ["BatchingConfig", "BatchStats", "MicroBatcher", "QueueFullError"]
@@ -77,17 +78,6 @@ _M_REJECTS = _REGISTRY.counter(
 _M_TIMEOUTS = _REGISTRY.counter(
     "serve_batch_timeouts_total", "Submissions that gave up waiting for their result."
 )
-
-
-class QueueFullError(RuntimeError):
-    """The batcher's bounded queue is full; the request was rejected.
-
-    Raised from :meth:`MicroBatcher.submit` *immediately* (never after a
-    wait) so overload degrades gracefully: the caller gets a clear,
-    retryable signal instead of the queue growing without limit.  The
-    fleet worker maps this to a retryable ``saturated`` error, and the
-    HTTP layer to ``503`` + ``Retry-After``.
-    """
 
 
 @dataclass(frozen=True)
@@ -198,14 +188,14 @@ class MicroBatcher:
         With ``max_queue`` set and the queue full, rejects immediately
         with :class:`QueueFullError` — submit never waits for space.
         ``timeout`` (seconds) bounds the wait for the *result*; on
-        expiry a :class:`TimeoutError` is raised and the request's
-        eventual result is discarded (the batch still runs — the
-        scheduler never skips accepted work).
+        expiry a :class:`~repro.serve.errors.ServingTimeoutError` is
+        raised and the request's eventual result is discarded (the
+        batch still runs — the scheduler never skips accepted work).
         """
         pending = _Pending(np.asarray(inputs))
         with self._submit_lock:
             if self._closed:
-                raise RuntimeError("cannot submit to a closed MicroBatcher")
+                raise ServingError("closed", "cannot submit to a closed MicroBatcher")
             try:
                 self._queue.put_nowait(pending)
             except queue.Full:
@@ -217,7 +207,7 @@ class MicroBatcher:
         _M_QUEUE_DEPTH.set(self._queue.qsize())  # repro: ignore[lock-discipline] -- qsize() is Queue's own locked read; the gauge is advisory
         if not pending.done.wait(timeout):
             _M_TIMEOUTS.inc()
-            raise TimeoutError(
+            raise ServingTimeoutError(
                 f"request ({pending.rows} rows) not served within {timeout}s; "
                 "it stays queued and its result will be discarded"
             )

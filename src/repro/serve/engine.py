@@ -2,8 +2,8 @@
 
 The engine owns one sealed :class:`~repro.serve.artifact.ModelArtifact`
 and a :class:`~repro.serve.batching.MicroBatcher`.  Caller threads (the
-HTTP frontend, the in-process client, benchmark load generators) call
-:meth:`predict`; requests queue, coalesce into micro-batches, and run
+model store, benchmark load generators) call :meth:`predict`;
+requests queue, coalesce into micro-batches, and run
 through the fused evaluation graph on the single scheduler thread.
 
 The forward path **is** :func:`repro.training.evaluation.predict_logits`
@@ -30,6 +30,7 @@ import numpy as np
 from repro.obs.registry import default_registry
 from repro.serve.artifact import ModelArtifact, load_artifact
 from repro.serve.batching import BatchingConfig, MicroBatcher
+from repro.serve.errors import BadRequestError, ServingError
 from repro.tensor.dtypes import default_dtype_scope
 from repro.tensor.sanitize import SanitizeError, sanitize_scope
 from repro.training.evaluation import predict_logits
@@ -71,9 +72,8 @@ class EngineConfig:
     eval_batch_size: int = 64
     #: Requests that may queue ahead of the scheduler before new
     #: submissions are rejected with
-    #: :class:`~repro.serve.batching.QueueFullError` (0: unbounded).
-    #: The fleet worker and the HTTP frontend turn that rejection into
-    #: a retryable ``saturated`` / ``503`` signal.
+    #: :class:`~repro.serve.errors.QueueFullError` (0: unbounded), a
+    #: retryable ``503`` + ``Retry-After`` over HTTP.
     max_queue: int = 0
     #: Run the numeric sanitizer on the scheduler thread: every serving
     #: forward raises (and the error is delivered to the waiting caller)
@@ -128,21 +128,25 @@ class ServingEngine:
         preprocessing layout (a single ``(C, H, W)`` sample is promoted
         to a batch of one; an empty list means zero samples).  Returns
         ``(N, num_classes)`` logits in the artifact's compute dtype —
-        ``N = 0`` still carries the full class dimension.  ``timeout``
-        bounds the wait for the result (``TimeoutError`` on expiry);
-        with ``max_queue`` configured and the scheduler saturated the
-        request is rejected immediately with
-        :class:`~repro.serve.batching.QueueFullError`.
+        ``N = 0`` still carries the full class dimension.  Failures
+        raise :class:`~repro.serve.errors.ServingError` with code
+        ``bad-request`` for unservable inputs, ``timeout`` when
+        ``timeout`` expires, ``queue-full`` when ``max_queue`` is
+        configured and the scheduler is saturated, and ``closed``
+        after :meth:`close`.
         """
         if self._closed:
-            raise RuntimeError("cannot predict with a closed ServingEngine")
+            raise ServingError("closed", "cannot predict with a closed ServingEngine")
         array = self._validate(inputs)
         self._m_requests.inc()
         self._m_rows.inc(array.shape[0])
         return self._batcher.submit(array, timeout=timeout)
 
     def _validate(self, inputs) -> np.ndarray:
-        array = np.asarray(inputs, dtype=self._dtype)
+        try:
+            array = np.asarray(inputs, dtype=self._dtype)
+        except (ValueError, TypeError) as error:
+            raise BadRequestError(str(error)) from error
         expected = self.artifact.input_shape()
         if array.size == 0 and array.ndim <= 1:
             # ``[]`` over the wire / an empty list in-process: zero
@@ -151,7 +155,7 @@ class ServingEngine:
         if array.ndim == 3:
             array = array[None]
         if array.ndim != 4 or array.shape[1:] != expected:
-            raise ValueError(
+            raise BadRequestError(
                 f"inputs must have shape (N, {expected[0]}, {expected[1]}, "
                 f"{expected[2]}), got {array.shape}"
             )

@@ -16,14 +16,8 @@ from repro.serve.fleet.protocol import (
     recv_message,
     send_message,
 )
-from repro.serve.fleet.supervisor import (
-    FleetConfig,
-    FleetError,
-    FleetSaturatedError,
-    FleetSupervisor,
-    FleetUnavailableError,
-    WorkerError,
-)
+from repro.serve.errors import FleetSaturatedError, FleetUnavailableError
+from repro.serve.fleet.supervisor import FleetConfig, FleetSupervisor
 from repro.serve.fleet.worker import EXIT_CHAOS_KILL, EXIT_OK, worker_main
 
 __all__ = [
@@ -34,12 +28,10 @@ __all__ = [
     "EXIT_CHAOS_KILL",
     "EXIT_OK",
     "FleetConfig",
-    "FleetError",
     "FleetSaturatedError",
     "FleetSupervisor",
     "FleetUnavailableError",
     "ProtocolError",
-    "WorkerError",
     "decode_array",
     "encode_array",
     "parse_chaos",

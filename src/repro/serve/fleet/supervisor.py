@@ -17,9 +17,13 @@ supervises the pool the way an actor-system monitor would:
   request is ever dropped**: serving is pure, so re-execution is safe
   and each caller still gets exactly one reply;
 * **backpressure** — admission is bounded per shard; a saturated pool
-  rejects *new* work with :class:`FleetSaturatedError` (the HTTP layer
-  turns that into 503 + ``Retry-After``) while re-routed work bypasses
+  rejects *new* work with :class:`~repro.serve.errors.FleetSaturatedError`
+  (``503`` + ``Retry-After`` over HTTP) while re-routed work bypasses
   the bound because it was already accepted.
+
+The supervisor answers the same calls as
+:class:`~repro.serve.store.ModelStore`, so the HTTP frontend serves
+either backend without asking which one it holds.
 
 All supervisor state lives behind one lock; the static lock-discipline
 rule in :mod:`repro.analysis` checks every access (reads included).
@@ -44,6 +48,14 @@ import numpy as np
 from repro.obs.registry import MetricsRegistry, default_registry, merge_snapshots
 from repro.serve.artifact import read_artifact_meta
 from repro.serve.engine import EngineConfig
+from repro.serve.errors import (
+    BadRequestError,
+    FleetSaturatedError,
+    FleetUnavailableError,
+    ServingError,
+    ServingTimeoutError,
+    UnknownModelError,
+)
 from repro.serve.fleet.chaos import CHAOS_ENV_VAR, parse_chaos
 from repro.serve.fleet.protocol import (
     ConnectionClosed,
@@ -55,14 +67,7 @@ from repro.serve.fleet.protocol import (
 )
 from repro.serve.fleet.worker import worker_entry
 
-__all__ = [
-    "FleetConfig",
-    "FleetError",
-    "FleetSaturatedError",
-    "FleetSupervisor",
-    "FleetUnavailableError",
-    "WorkerError",
-]
+__all__ = ["FleetConfig", "FleetSupervisor"]
 
 
 #: The shard lifecycle states a slot may be in.
@@ -129,31 +134,6 @@ def _declare_fleet_instruments(registry: MetricsRegistry) -> Dict[str, object]:
 # Declaration-only: makes the fleet instruments visible to the generated
 # metrics reference; supervisors record into their own registries.
 _declare_fleet_instruments(default_registry())
-
-
-class FleetError(RuntimeError):
-    """Base class for fleet-level failures."""
-
-
-class FleetSaturatedError(FleetError):
-    """The pool cannot admit new work right now; retry after a delay."""
-
-    def __init__(self, message: str, retry_after: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
-class FleetUnavailableError(FleetError):
-    """No shard can ever take this request (breakers open / fleet closed)."""
-
-
-class WorkerError(RuntimeError):
-    """An error a shard reported for one request (bad input, model bug)."""
-
-    def __init__(self, message: str, code: str = "internal", retryable: bool = False) -> None:
-        super().__init__(message)
-        self.code = code
-        self.retryable = retryable
 
 
 @dataclass(frozen=True)
@@ -248,6 +228,7 @@ class _ShardLink:
         "last_ping",
         "ping_seq",
         "requests",
+        "reader",
         "_send_lock",
     )
 
@@ -262,6 +243,7 @@ class _ShardLink:
         self.last_ping = 0.0
         self.ping_seq = 0
         self.requests = 0
+        self.reader: Optional[threading.Thread] = None
         self._send_lock = threading.Lock()
 
     def send(self, header: dict, payload: bytes = b"") -> None:
@@ -272,9 +254,12 @@ class _ShardLink:
         """Close the socket and make sure the process is gone."""
         if self.conn is not None:
             try:
-                self.conn.close()
+                # Shutting down wakes this link's reader out of recv();
+                # closing the socket alone does not.
+                self.conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            self.conn.close()
         if self.process is not None and self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout=5.0)
@@ -374,6 +359,7 @@ class FleetSupervisor:
             target=self._accept_loop, name="fleet-accept", daemon=True
         )
         self._accept_thread.start()
+        self._monitor_thread: Optional[threading.Thread] = None
 
         boot = [
             threading.Thread(target=self._spawn_shard, args=(slot,), daemon=True)
@@ -508,9 +494,10 @@ class FleetSupervisor:
         if stillborn:
             link.destroy()
             return
-        threading.Thread(
+        link.reader = threading.Thread(
             target=self._reader, args=(link,), name=f"fleet-reader-{token}", daemon=True
-        ).start()
+        )
+        link.reader.start()
         for pending in parked:
             self._reroute(pending)
 
@@ -568,7 +555,7 @@ class FleetSupervisor:
         self._metrics["reroutes_max"].set_max(pending.reroutes)
         try:
             self._dispatch(pending, admission=False)
-        except FleetError as error:
+        except ServingError as error:
             pending.fail(error)
 
     def _monitor(self) -> None:
@@ -644,10 +631,11 @@ class FleetSupervisor:
                 if pending is not None:
                     self._metrics["errors"].inc()
                     pending.fail(
-                        WorkerError(
+                        ServingError(
+                            str(header.get("code", "internal")),
                             str(header.get("message", "shard error")),
-                            code=str(header.get("code", "internal")),
-                            retryable=bool(header.get("retryable", False)),
+                            header.get("retryable"),
+                            header.get("retry_after"),
                         )
                     )
             elif kind == "pong":
@@ -713,10 +701,12 @@ class FleetSupervisor:
 
         Every live shard is asked for its process-local snapshot (batch
         scheduler, engines, model store instruments) and the results are
-        merged on top of the supervisor's own registry — counters and
-        histogram buckets sum, so the fleet's p99 reflects every shard's
-        samples.  Schema-identical to a single-process snapshot: the
-        ``/metrics`` contract does not change shape behind a fleet.
+        merged on top of the supervisor's own registry and this
+        process's default one (the frontend's HTTP counters) — counters
+        and histogram buckets sum, so the fleet's p99 reflects every
+        shard's samples.  Schema-identical to a single-process
+        snapshot: the ``/metrics`` contract does not change shape
+        behind a fleet.
         """
         with self._lock:
             states = [slot.state for slot in self._slots]
@@ -735,36 +725,33 @@ class FleetSupervisor:
             for reply in replies.values()
             if reply is not None and isinstance(reply.get("snapshot"), dict)
         ]
-        return merge_snapshots(self._registry.snapshot(), *shard_snapshots)
+        return merge_snapshots(
+            default_registry().snapshot(), self._registry.snapshot(), *shard_snapshots
+        )
 
     def _admin_broadcast(self, kind: str, name: str, timeout: float) -> Dict[str, object]:
         if name not in self._artifacts:
-            raise KeyError(
-                f"no model named {name!r} is registered; available: {list(self._artifacts)}"
-            )
-        replies = self._broadcast(
-            {"kind": kind, "model": name, "path": self._artifacts[name]}, timeout
-        )
+            raise UnknownModelError.naming(name, self._artifacts)
+        replies = self._broadcast({"kind": kind, "model": name}, timeout)
         shards = {
             str(index): (reply is not None and bool(reply.get("ok", False)))
             for index, reply in replies.items()
         }
-        return {"model": name, "shards": shards, "ok": all(shards.values()) and bool(shards)}
+        failed = [index for index, ok in shards.items() if not ok]
+        if failed or not shards:
+            raise ServingError(
+                "load-failed" if kind == "load" else "unavailable",
+                f"{kind} of model {name!r} failed on shard(s) {failed or 'none live'}",
+            )
+        return {"model": name, "shards": shards, "ok": True}
 
-    def admin_load(self, name: str, timeout: float = 30.0) -> Dict[str, object]:
+    def load(self, name: str, timeout: float = 30.0) -> Dict[str, object]:
         """Ensure every live shard holds a warm engine for ``name``."""
         return self._admin_broadcast("load", name, timeout)
 
-    def admin_evict(self, name: str, timeout: float = 30.0) -> Dict[str, object]:
-        """Drop ``name``'s engine on every live shard (reload via load)."""
+    def evict(self, name: str, timeout: float = 30.0) -> Dict[str, object]:
+        """Drop ``name``'s engine on every live shard (the next predict reloads it)."""
         return self._admin_broadcast("evict", name, timeout)
-
-    def queue_depth(self) -> int:
-        """In-flight requests across all shards plus parked ones."""
-        with self._lock:
-            return len(self._parked) + sum(
-                len(slot.link.pending) for slot in self._slots if slot.link is not None
-            )
 
     # ------------------------------------------------------------------
     # Routing and dispatch
@@ -858,20 +845,26 @@ class FleetSupervisor:
         """Logits for ``inputs`` from whichever shard the ring picks.
 
         Blocks until a reply arrives (re-routing transparently across
-        shard deaths); raises :class:`FleetSaturatedError` if the pool
-        cannot admit the request and :class:`WorkerError` if the shard
-        rejected it (bad shape, unknown model on the shard).
+        shard deaths); raises :class:`~repro.serve.errors.FleetSaturatedError`
+        if the pool cannot admit the request and re-raises, with its
+        code unchanged, the :class:`~repro.serve.errors.ServingError` a
+        shard reported (bad shape, a full queue).
         """
         name = model if model is not None else self.default_model
         if name not in self._artifacts:
-            raise KeyError(
-                f"no model named {name!r} is registered; available: {list(self._artifacts)}"
-            )
-        pending = _Pending(name, np.asarray(inputs))
+            raise UnknownModelError.naming(name, self._artifacts)
+        try:
+            array = np.asarray(inputs)
+        except (ValueError, TypeError) as error:
+            raise BadRequestError(str(error)) from error
+        if array.dtype.hasobject:
+            # Object arrays have no byte encoding for the wire.
+            raise BadRequestError(f"inputs must be numeric, got {type(inputs).__name__}")
+        pending = _Pending(name, array)
         self._dispatch(pending)
         deadline = timeout if timeout is not None else self.config.request_timeout_s
         if not pending.done.wait(deadline):
-            raise TimeoutError(f"fleet request for {name!r} timed out after {deadline}s")
+            raise ServingTimeoutError(f"fleet request for {name!r} timed out after {deadline}s")
         if pending.error is not None:
             raise pending.error
         assert pending.result is not None
@@ -887,6 +880,27 @@ class FleetSupervisor:
             {"name": name, "path": path, "loaded": True, **self._meta[name]}
             for name, path in self._artifacts.items()
         ]
+
+    def queue_depth(self) -> int:
+        """In-flight requests across all shards plus parked ones."""
+        with self._lock:
+            return len(self._parked) + sum(
+                len(slot.link.pending) for slot in self._slots if slot.link is not None
+            )
+
+    def health(self) -> Dict[str, object]:
+        """The backend half of ``/healthz``, with the per-shard snapshot."""
+        shards = self.shard_states()
+        live = any(shard["state"] == "live" for shard in shards)
+        return {
+            "status": "ok" if live else "degraded",
+            "models": self.names(),
+            # Every shard warm-loads every artifact before joining the
+            # pool (and reloads an evicted one on demand), so
+            # registered == loaded.
+            "loaded": self.names(),
+            "shards": shards,
+        }
 
     def shard_states(self) -> List[Dict[str, object]]:
         """Live per-shard snapshot (what ``/healthz`` reports)."""
@@ -937,7 +951,7 @@ class FleetSupervisor:
             return self._closed
 
     def close(self, timeout: float = 10.0) -> None:
-        """Drain and stop every shard, then release the listener."""
+        """Drain and stop every shard, release the listener, join threads."""
         with self._lock:
             if self._closed:
                 return
@@ -949,6 +963,11 @@ class FleetSupervisor:
                     slot.state = "dead"
             parked = self._parked
             self._parked = []
+            spawning = list(self._waiters.values())
+        # A restart in flight stops waiting for its hello and reaps its
+        # process instead of sitting out ``spawn_timeout_s``.
+        for waiter in spawning:
+            waiter.event.set()
         for pending in parked:
             pending.fail(FleetUnavailableError("fleet closed"))
         for link in links:
@@ -966,10 +985,18 @@ class FleetSupervisor:
             for pending in orphans:
                 pending.fail(FleetUnavailableError("fleet closed while the request was in flight"))
             link.destroy()
+            if link.reader is not None:
+                link.reader.join(timeout=5.0)
         try:
-            self._listener.close()
+            # Only a shutdown wakes the accept loop: closing a listening
+            # socket does not interrupt a thread blocked in accept().
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._listener.close()
+        self._accept_thread.join(timeout=5.0)
+        if self._monitor_thread is not None:
+            self._monitor_thread.join(timeout=5.0)
         if self._family == "AF_UNIX":
             try:
                 os.unlink(self._address)

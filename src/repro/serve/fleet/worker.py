@@ -1,15 +1,18 @@
-"""The shard worker process: one warm ServingEngine pool behind a socket.
+"""The shard worker process: one warm ModelStore behind a socket.
 
 A worker is spawned by the supervisor with the listener address, an
-authentication token, and the sealed-artifact table.  It warm-loads a
-:class:`~repro.serve.engine.ServingEngine` per artifact *before* saying
-hello — a shard that answers the handshake is ready to serve, so a
-restarted shard never serves cold-start errors — then loops on the
-length-prefixed protocol:
+authentication token, and the sealed-artifact table.  It hosts a
+:class:`~repro.serve.store.ModelStore` sized to hold every artifact and
+warm-loads all of them *before* saying hello — a shard that answers the
+handshake is ready to serve, so a restarted shard never serves
+cold-start errors — then loops on the length-prefixed protocol:
 
 * ``predict`` frames are decoded and dispatched to a small handler pool
-  whose threads block on the engine's micro-batcher (concurrent requests
-  coalesce into shared forward passes exactly like in-process serving);
+  whose threads call the store exactly like in-process serving does
+  (concurrent requests coalesce into shared forward passes; an engine
+  evicted by an admin ``evict`` reloads on its next predict); a failure
+  travels back as its :class:`~repro.serve.errors.ServingError` code,
+  ``retryable`` flag and ``retry_after`` hint, unchanged;
 * ``ping`` frames are answered immediately from the reader loop, so
   heartbeats measure process liveness, not queue depth;
 * ``shutdown`` (from the supervisor) and SIGTERM/SIGINT (from an
@@ -31,11 +34,11 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.obs.registry import default_registry
-from repro.serve.batching import QueueFullError
-from repro.serve.engine import EngineConfig, ServingEngine
+from repro.serve.engine import EngineConfig
+from repro.serve.errors import ServingError
 from repro.serve.fleet.chaos import parse_chaos
 from repro.serve.fleet.protocol import (
     ConnectionClosed,
@@ -45,6 +48,7 @@ from repro.serve.fleet.protocol import (
     recv_message,
     send_message,
 )
+from repro.serve.store import ModelStore
 
 __all__ = ["EXIT_CHAOS_KILL", "EXIT_OK", "worker_entry", "worker_main"]
 
@@ -71,17 +75,13 @@ class _Worker:
         self,
         sock: socket.socket,
         shard_index: int,
-        engines: Dict[str, ServingEngine],
+        store: ModelStore,
         chaos_spec: Optional[str],
         handler_threads: int,
-        engine_config: Optional[EngineConfig] = None,
     ) -> None:
         self.sock = sock
         self.shard_index = shard_index
-        self.engines = engines
-        self.engine_config = engine_config
-        # Guards ``engines`` against admin load/evict racing predicts.
-        self._engines_lock = threading.Lock()
+        self.store = store
         self.chaos = parse_chaos(chaos_spec).for_shard(shard_index)
         self.draining = threading.Event()
         self.exit_code = EXIT_OK
@@ -154,7 +154,7 @@ class _Worker:
                 elif kind in ("load", "evict"):
                     # Admin plane: a load warm-builds the engine before the
                     # ack, so it runs on the handler pool like a predict.
-                    self._pool.submit(self._handle_admin, header, kind == "load")
+                    self._pool.submit(self._handle_admin, header, kind)
                 elif kind == "shutdown":
                     break
                 # Unknown kinds are ignored: a newer supervisor may speak
@@ -167,10 +167,7 @@ class _Worker:
                 self._send({"kind": "goodbye", "shard": self.shard_index})
             except OSError:
                 pass
-            with self._engines_lock:
-                engines = list(self.engines.values())
-            for engine in engines:
-                engine.close()
+            self.store.close()
             try:
                 self.sock.shutdown(socket.SHUT_RDWR)
             except OSError:
@@ -187,22 +184,14 @@ class _Worker:
         request_id = header.get("id")
         try:
             inputs = decode_array(header, payload)
-            with self._engines_lock:
-                engine = self.engines[header.get("model")]
-            logits = engine.predict(inputs)
-        except KeyError:
-            self._reply_error(request_id, "unknown-model", f"shard has no model {header.get('model')!r}", False)
-            return
-        except (ValueError, TypeError) as error:
-            self._reply_error(request_id, "bad-request", str(error), False)
-            return
-        except QueueFullError as error:
-            # The shard itself is saturated; the supervisor (or client)
-            # may retry elsewhere/later.
-            self._reply_error(request_id, "saturated", str(error), True)
+            logits = self.store.predict(inputs, header.get("model"))
+        except ServingError as error:
+            self._reply_error(request_id, error)
             return
         except BaseException as error:  # noqa: BLE001 - reported, never dropped
-            self._reply_error(request_id, "internal", f"{type(error).__name__}: {error}", False)
+            self._reply_error(
+                request_id, ServingError("internal", f"{type(error).__name__}: {error}")
+            )
             return
         meta, body = encode_array(logits)
         if corrupt_this and body:
@@ -216,30 +205,14 @@ class _Worker:
         except OSError:
             pass  # supervisor gone; it will have re-routed already
 
-    def _handle_admin(self, header: dict, load: bool) -> None:
+    def _handle_admin(self, header: dict, kind: str) -> None:
         request_id = header.get("id")
         name = header.get("model")
         try:
-            if load:
-                with self._engines_lock:
-                    missing = name not in self.engines
-                if missing:
-                    # Build outside the lock (a warm load reads megabytes
-                    # of weights); last writer wins on the rare race.
-                    engine = ServingEngine(
-                        header.get("path"), config=self.engine_config, name=name
-                    )
-                    with self._engines_lock:
-                        stale = self.engines.get(name)
-                        self.engines[name] = engine
-                    if stale is not None:
-                        stale.close()
-                evicted = None
+            if kind == "load":
+                self.store.load(name)
             else:
-                with self._engines_lock:
-                    evicted = self.engines.pop(name, None)
-            if evicted is not None:
-                evicted.close()
+                self.store.evict(name)
             self._send({"kind": "admin-ack", "id": request_id, "model": name, "ok": True})
         except BaseException as error:  # noqa: BLE001 - reported, never dropped
             try:
@@ -255,15 +228,16 @@ class _Worker:
             except OSError:
                 pass
 
-    def _reply_error(self, request_id, code: str, message: str, retryable: bool) -> None:
+    def _reply_error(self, request_id, error: ServingError) -> None:
         try:
             self._send(
                 {
                     "kind": "error",
                     "id": request_id,
-                    "code": code,
-                    "message": message,
-                    "retryable": retryable,
+                    "code": error.code,
+                    "message": error.message,
+                    "retryable": error.retryable,
+                    "retry_after": error.retry_after,
                 }
             )
         except OSError:
@@ -281,16 +255,17 @@ def worker_main(
     handler_threads: int = 4,
 ) -> int:
     """Run one shard worker to completion; returns the exit code."""
-    config = EngineConfig(**(engine_config or {}))
-    # Warm spawn: every artifact loads before the hello, so a shard that
-    # joins the pool serves its first request from a hot engine.
-    engines: Dict[str, ServingEngine] = {}
+    # Room for every artifact: the fleet never LRU-evicts, only the
+    # admin surface does.
+    store = ModelStore(capacity=len(artifacts), config=EngineConfig(**(engine_config or {})))
     try:
+        # Warm spawn: every artifact loads before the hello, so a shard
+        # that joins the pool serves its first request from a hot engine.
         for name, path in artifacts:
-            engines[name] = ServingEngine(path, config=config, name=name)
+            store.register(name, path)
+            store.get(name)
     except BaseException:
-        for engine in engines.values():
-            engine.close()
+        store.close()
         raise
     try:
         sock = _connect(family_name, address)
@@ -298,12 +273,9 @@ def worker_main(
         # The supervisor is already gone (fleet closed while this
         # restart was in flight): exit quietly instead of crashing with
         # a traceback nobody can act on.
-        for engine in engines.values():
-            engine.close()
+        store.close()
         return EXIT_OK
-    worker = _Worker(
-        sock, shard_index, engines, chaos_spec, handler_threads, engine_config=config
-    )
+    worker = _Worker(sock, shard_index, store, chaos_spec, handler_threads)
 
     def _drain_signal(signum, frame):  # noqa: ARG001 - stdlib signature
         worker.draining.set()

@@ -1,9 +1,12 @@
 """Stdlib-only HTTP frontend for the serving subsystem.
 
 ``python -m repro.serve --artifact model.npz`` starts a threaded HTTP
-server over a :class:`~repro.serve.store.ModelStore`; with
-``--shards N`` (N >= 2) the same routes are served by a supervised
-:class:`~repro.serve.fleet.FleetSupervisor` shard pool instead:
+server over one serving backend: an in-process
+:class:`~repro.serve.store.ModelStore`, or with ``--shards N`` (N >= 2)
+a supervised :class:`~repro.serve.fleet.FleetSupervisor` shard pool.
+Both answer the same calls (``predict``, ``names``, ``describe``,
+``load``, ``evict``, ``queue_depth``, ``metrics_snapshot``, ``health``,
+``close``), so every route behaves the same way over either:
 
 * ``GET /healthz`` — liveness, draining state, aggregate queue depth,
   and which models are registered/loaded (and, under a fleet, the
@@ -24,19 +27,19 @@ server over a :class:`~repro.serve.store.ModelStore`; with
 * ``POST /drain`` — begin the graceful drain an operator otherwise
   triggers with SIGTERM.
 
-Handler threads only parse/serialise JSON and block on the engine's
-micro-batcher (or the fleet's routing table), so concurrent requests
-coalesce into shared forward passes exactly like in-process traffic.
-Responses carry the artifact's compute dtype and the logits' shape,
-which lets a client reconstruct the numpy result byte-identically
-(including zero-row responses).
+Handler threads only parse/serialise JSON and block on the backend, so
+concurrent requests coalesce into shared forward passes exactly like
+in-process traffic.  Responses carry the artifact's compute dtype and
+the logits' shape, which lets a client reconstruct the numpy result
+byte-identically (including zero-row responses).
 
-Overload is a first-class response, not an accident: a saturated pool
-(or a full micro-batcher queue) answers ``503`` with a ``Retry-After``
-header, which :class:`~repro.serve.client.HTTPClient` honours in its
-retry loop.  SIGTERM/SIGINT drain instead of dropping connections:
-the listener stops accepting, every in-flight request still gets its
-response, then the backend shuts down and the process exits.
+Every failure is a :class:`~repro.serve.errors.ServingError`; its code
+picks the status, ``retryable`` flag and ``Retry-After`` header from
+the one table in :mod:`repro.serve.errors`, and the body is
+``{"error", "code", "retryable"}``.  SIGTERM/SIGINT drain instead of
+dropping connections: the listener stops accepting, every in-flight
+request still gets its response, then the backend shuts down and the
+process exits.
 """
 
 from __future__ import annotations
@@ -51,32 +54,21 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 from urllib.parse import unquote, urlsplit
 
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
-from repro.obs.registry import default_registry, merge_snapshots
+from repro.obs.registry import default_registry
 from repro.serve.admin import RateLimit, RateLimiter
-from repro.serve.batching import QueueFullError
 from repro.serve.engine import EngineConfig
-from repro.serve.fleet.supervisor import (
-    FleetConfig,
-    FleetError,
-    FleetSaturatedError,
-    FleetSupervisor,
-    FleetUnavailableError,
-    WorkerError,
-)
+from repro.serve.errors import ServingError
+from repro.serve.fleet.supervisor import FleetConfig, FleetSupervisor
 from repro.serve.store import ModelStore
 
 __all__ = ["ServingHTTPServer", "build_parser", "create_server", "main"]
 
 #: How long a drain waits for in-flight requests before giving up.
 DRAIN_TIMEOUT_S = 30.0
-
-#: ``Retry-After`` hint attached to single-process saturation (the
-#: fleet carries its own per-config hint).
-RETRY_AFTER_S = 1.0
 
 _REGISTRY = default_registry()
 _M_HTTP_REQUESTS = _REGISTRY.counter(
@@ -94,20 +86,21 @@ _M_RATE_LIMITED = _REGISTRY.counter(
 _ADMIN_ROUTE = re.compile(r"^/models/([^/]+)/(load|evict|ratelimit)$")
 
 
+#: Either serving backend; the frontend never asks which one it holds.
+Backend = Union[ModelStore, FleetSupervisor]
+
+
 def _retry_after_header(seconds: float) -> str:
     """RFC 9110 delta-seconds: an integer, never below 1."""
     return str(max(1, math.ceil(seconds)))
 
 
 class ServingHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to a model store or a shard fleet.
+    """A threading HTTP server bound to one serving backend.
 
-    Exactly one backend is active: ``fleet`` when supplied (the store
-    is then only consulted for registration metadata and may be
-    ``None``), the in-process ``store`` otherwise.  The server counts
-    in-flight connections so :meth:`drain` can stop accepting and wait
-    for every accepted request to finish — the graceful half of
-    SIGTERM handling.
+    The server counts in-flight connections so :meth:`drain` can stop
+    accepting and wait for every accepted request to finish — the
+    graceful half of SIGTERM handling.
     """
 
     daemon_threads = True
@@ -115,16 +108,12 @@ class ServingHTTPServer(ThreadingHTTPServer):
     def __init__(
         self,
         address: Tuple[str, int],
-        store: Optional[ModelStore],
+        backend: Backend,
         default_model: str,
-        fleet: Optional[FleetSupervisor] = None,
         rate_limiter: Optional[RateLimiter] = None,
     ) -> None:
-        if store is None and fleet is None:
-            raise ValueError("a serving server needs a store or a fleet backend")
         super().__init__(address, _Handler)
-        self.store = store
-        self.fleet = fleet
+        self.backend = backend
         self.default_model = default_model
         self.rate_limiter = rate_limiter if rate_limiter is not None else RateLimiter()
         #: Called once when an admin ``POST /drain`` lands; ``main``
@@ -193,29 +182,6 @@ class ServingHTTPServer(ThreadingHTTPServer):
         else:
             threading.Thread(target=self.drain, name="repro-serve-drain", daemon=True).start()
 
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """The live ``repro-metrics/v1`` snapshot for ``GET /metrics``.
-
-        In-process serving reads the process-default registry (batcher,
-        engines, store, HTTP counters); a fleet merges the supervisor's
-        registry and every shard's snapshot on top of the frontend's
-        own HTTP counters.  Both shapes are identical — one schema, no
-        matter the backend.
-        """
-        local = default_registry().snapshot()
-        if self.fleet is not None:
-            return merge_snapshots(local, self.fleet.metrics_snapshot())
-        return local
-
-    def queue_depth(self) -> int:
-        """Requests queued/in-flight across the active backend."""
-        if self.fleet is not None:
-            return self.fleet.queue_depth()
-        return self.store.queue_depth()
-
 
 class _Handler(BaseHTTPRequestHandler):
     server: ServingHTTPServer
@@ -232,279 +198,111 @@ class _Handler(BaseHTTPRequestHandler):
         if os.environ.get("REPRO_SERVE_LOG"):
             super().log_message(format, *args)
 
+    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        self._respond(self._get)
+
+    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+        self._respond(self._post)
+
+    def _respond(self, route: Callable[[], None]) -> None:
+        """Run one route; any failure becomes exactly one error response."""
+        self._route = "other"  # until the route names itself
+        try:
+            route()
+        except ServingError as error:
+            headers = None
+            if error.retry_after is not None:
+                headers = {"Retry-After": _retry_after_header(error.retry_after)}
+            self._send_json(
+                error.status,
+                {"error": error.message, "code": error.code, "retryable": error.retryable},
+                headers=headers,
+            )
+        except ConnectionError:
+            raise  # the client went away mid-response: nobody to tell
+        except Exception as error:  # noqa: BLE001 - report, don't drop the socket
+            message = f"{type(error).__name__}: {error}"
+            self._send_json(500, {"error": message, "code": "internal", "retryable": False})
+
     # ------------------------------------------------------------------
     # Routes
     # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+    def _get(self) -> None:
         path = urlsplit(self.path).path
-        self._route = path if path in ("/healthz", "/models", "/metrics") else "other"
+        if path in ("/healthz", "/models", "/metrics"):
+            self._route = path
+        backend = self.server.backend
         if path == "/healthz":
+            health = backend.health()
             draining = self.server.draining
-            status = "draining" if draining else "ok"
-            if self.server.fleet is not None:
-                fleet = self.server.fleet
-                shards = fleet.shard_states()
-                live = sum(1 for shard in shards if shard["state"] == "live")
-                self._send_json(
-                    200,
-                    {
-                        "status": status if live else "degraded",
-                        "draining": draining,
-                        "queue_depth": self.server.queue_depth(),
-                        "default_model": fleet.default_model,
-                        "models": fleet.names(),
-                        # Every shard warm-loads every artifact before
-                        # joining the pool, so registered == loaded.
-                        "loaded": fleet.names(),
-                        "shards": shards,
-                    },
-                )
-            else:
-                self._send_json(
-                    200,
-                    {
-                        "status": status,
-                        "draining": draining,
-                        "queue_depth": self.server.queue_depth(),
-                        "default_model": self.server.default_model,
-                        "models": self.server.store.names(),
-                        "loaded": self.server.store.loaded(),
-                    },
-                )
+            # A degraded fleet stays degraded while it drains.
+            status = "draining" if draining and health["status"] == "ok" else health["status"]
+            self._send_json(
+                200,
+                {
+                    **health,
+                    "status": status,
+                    "draining": draining,
+                    "queue_depth": backend.queue_depth(),
+                    "default_model": self.server.default_model,
+                },
+            )
         elif path == "/models":
-            backend = self.server.fleet if self.server.fleet is not None else self.server.store
             self._send_json(200, {"models": backend.describe()})
         elif path == "/metrics":
-            self._send_metrics()
+            self._send_metrics(backend.metrics_snapshot())
         else:
-            self._send_json(404, {"error": f"unknown path {path!r}"})
+            raise ServingError("not-found", f"unknown path {path!r}")
 
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+    def _post(self) -> None:
         # Drain the body before routing: leaving unread bytes on a
         # keep-alive connection would desynchronise the next request.
         try:
             length = int(self.headers.get("Content-Length", 0))
             body = self.rfile.read(length)
-        except (ValueError, OSError):
-            self._route = "other"
-            self._send_json(400, {"error": "unreadable request body"})
-            return
+        except (ValueError, OSError) as error:
+            raise ServingError("bad-request", "unreadable request body") from error
         path = urlsplit(self.path).path
         admin = _ADMIN_ROUTE.match(path)
         if admin is not None:
             name, action = unquote(admin.group(1)), admin.group(2)
             self._route = f"/models/{{name}}/{action}"
-            self._handle_admin(name, action, body)
-            return
-        if path == "/drain":
+            if action == "ratelimit":
+                self._handle_ratelimit(name, body)
+            else:
+                result = getattr(self.server.backend, action)(name)
+                self._send_json(200, {"action": action, **result})
+        elif path == "/drain":
             self._route = "/drain"
             # Respond before the drain starts waiting on in-flight
             # requests (this handler is one of them).
             self._send_json(202, {"status": "draining"})
             self.server.request_drain()
-            return
-        if path != "/predict":
-            self._route = "other"
-            self._send_json(404, {"error": f"unknown path {path!r}"})
-            return
-        self._route = "/predict"
+        elif path == "/predict":
+            self._route = "/predict"
+            self._predict(body)
+        else:
+            raise ServingError("not-found", f"unknown path {path!r}")
+
+    def _predict(self, body: bytes) -> None:
         if self.server.draining:
             # Drain semantics: finish what was admitted, admit nothing
             # new.  Retryable so a balancer/client fails over cleanly.
-            self._send_json(
-                503,
-                {"error": "server is draining", "retryable": True},
-                headers={"Retry-After": "1"},
-            )
-            return
+            raise ServingError("draining", "server is draining")
         try:
             payload = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            self._send_json(400, {"error": "request body must be a JSON object"})
-            return
+        except (ValueError, UnicodeDecodeError) as error:
+            raise ServingError("bad-request", "request body must be a JSON object") from error
         if not isinstance(payload, dict) or "inputs" not in payload:
-            self._send_json(400, {"error": 'request must carry an "inputs" field'})
-            return
+            raise ServingError("bad-request", 'request must carry an "inputs" field')
         name = payload.get("model") or self.server.default_model
         admitted, retry_after = self.server.rate_limiter.admit(name)
         if not admitted:
             _M_RATE_LIMITED.labelled(model=name).inc()
-            self._send_json(
-                429,
-                {"error": f"rate limit exceeded for model {name!r}", "retryable": True},
-                headers={"Retry-After": _retry_after_header(retry_after)},
+            raise ServingError(
+                "rate-limited", f"rate limit exceeded for model {name!r}", retry_after=retry_after
             )
-            return
-        if self.server.fleet is not None:
-            self._predict_fleet(name, payload["inputs"])
-        else:
-            self._predict_store(name, payload["inputs"])
-
-    # ------------------------------------------------------------------
-    # Admin surface
-    # ------------------------------------------------------------------
-    def _handle_admin(self, name: str, action: str, body: bytes) -> None:
-        """``POST /models/{name}/load|evict|ratelimit``.
-
-        Load and evict work identically against both backends: the
-        store warms/drops its engine, the fleet broadcasts to every
-        live shard and reports per-shard acknowledgements.
-        """
-        if action == "ratelimit":
-            self._handle_ratelimit(name, body)
-            return
-        fleet, store = self.server.fleet, self.server.store
-        try:
-            if fleet is not None:
-                if action == "load":
-                    result = fleet.admin_load(name)
-                else:
-                    result = fleet.admin_evict(name)
-                status = 200 if result.get("ok") else 503
-                self._send_json(status, {"action": action, **result})
-            else:
-                if action == "load":
-                    store.get(name)
-                    self._send_json(200, {"action": action, "model": name, "ok": True})
-                else:
-                    evicted = store.evict(name)
-                    self._send_json(
-                        200, {"action": action, "model": name, "ok": True, "was_loaded": evicted}
-                    )
-        except KeyError as error:
-            self._send_json(404, {"error": str(error.args[0]) if error.args else str(error)})
-        except FleetError as error:
-            self._send_json(503, {"error": str(error)})
-        except (OSError, ValueError, RuntimeError) as error:
-            self._send_json(503, {"error": f"model {name!r} failed to load: {error}"})
-
-    def _handle_ratelimit(self, name: str, body: bytes) -> None:
-        known = (
-            self.server.fleet.names() if self.server.fleet is not None
-            else self.server.store.names()
-        )
-        if name not in known:
-            self._send_json(404, {"error": f"no model named {name!r} is registered"})
-            return
-        try:
-            payload = json.loads(body.decode("utf-8")) if body.strip() else None
-        except (ValueError, UnicodeDecodeError):
-            self._send_json(400, {"error": "request body must be a JSON object or null"})
-            return
-        try:
-            if payload is None:
-                applied = self.server.rate_limiter.set_limit(name, None)
-            elif isinstance(payload, dict) and "rate_per_s" in payload:
-                applied = self.server.rate_limiter.set_limit(
-                    name, payload["rate_per_s"], payload.get("burst")
-                )
-            else:
-                self._send_json(
-                    400, {"error": 'body must be null or carry "rate_per_s" (null clears)'}
-                )
-                return
-        except (TypeError, ValueError) as error:
-            self._send_json(400, {"error": str(error)})
-            return
-        self._send_json(200, {"model": name, "limit": applied})
-
-    # ------------------------------------------------------------------
-    # Backends
-    # ------------------------------------------------------------------
-    def _predict_fleet(self, name: str, inputs) -> None:
-        """Route one prediction through the shard pool.
-
-        The supervisor's failure taxonomy maps onto HTTP statuses:
-        saturation is ``503`` + ``Retry-After`` (retryable), a fleet
-        with every breaker open is ``503`` without the hint (operator
-        attention), a request deadline is ``504``, and per-request
-        shard errors keep their code (``400``/``404``/``500``).
-        """
-        fleet = self.server.fleet
-        try:
-            logits = fleet.predict(inputs, model=name)
-        except KeyError as error:
-            self._send_json(404, {"error": str(error.args[0]) if error.args else str(error)})
-        except FleetSaturatedError as error:
-            self._send_json(
-                503,
-                {"error": str(error), "retryable": True},
-                headers={"Retry-After": _retry_after_header(error.retry_after)},
-            )
-        except FleetUnavailableError as error:
-            self._send_json(503, {"error": str(error), "retryable": False})
-        except TimeoutError as error:
-            self._send_json(504, {"error": str(error)})
-        except WorkerError as error:
-            status = {"unknown-model": 404, "bad-request": 400, "saturated": 503}.get(
-                error.code, 500
-            )
-            headers = (
-                {"Retry-After": _retry_after_header(RETRY_AFTER_S)} if status == 503 else None
-            )
-            self._send_json(
-                status, {"error": str(error), "retryable": error.retryable}, headers=headers
-            )
-        except FleetError as error:
-            self._send_json(503, {"error": str(error)})
-        except (ValueError, TypeError) as error:
-            self._send_json(400, {"error": str(error)})
-        else:
-            self._send_logits(name, logits)
-
-    def _predict_store(self, name: str, inputs) -> None:
-        logits = None
-        for attempt in (0, 1):
-            try:
-                engine = self.server.store.get(name)
-            except KeyError as error:
-                self._send_json(404, {"error": str(error)})
-                return
-            except (OSError, ValueError, RuntimeError) as error:
-                # The registered artifact failed to load (deleted or
-                # corrupted on disk since registration).
-                self._send_json(503, {"error": f"model {name!r} failed to load: {error}"})
-                return
-            try:
-                logits = engine.predict(inputs)
-                break
-            except (ValueError, TypeError) as error:
-                self._send_json(400, {"error": str(error)})
-                return
-            except QueueFullError as error:
-                # Bounded-queue backpressure: overload degrades to a
-                # clear, retryable rejection instead of a growing queue.
-                self._send_json(
-                    503,
-                    {"error": str(error), "retryable": True},
-                    headers={"Retry-After": _retry_after_header(RETRY_AFTER_S)},
-                )
-                return
-            except TimeoutError as error:
-                self._send_json(504, {"error": str(error)})
-                return
-            except RuntimeError as error:
-                if engine.closed:
-                    # LRU-evicted between the lookup and the predict;
-                    # one re-fetch reloads it.  Still churning after
-                    # the retry is a capacity problem: 503.
-                    if attempt == 0:
-                        continue
-                    self._send_json(503, {"error": str(error)})
-                else:
-                    # A live engine failing is a model bug, not
-                    # pressure — report it, don't retry it.
-                    self._send_json(500, {"error": f"{type(error).__name__}: {error}"})
-                return
-            except Exception as error:  # noqa: BLE001 - report, don't drop the socket
-                self._send_json(500, {"error": f"{type(error).__name__}: {error}"})
-                return
-        self._send_logits(name, logits)
-
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
-    def _send_logits(self, name: str, logits) -> None:
+        logits = self.server.backend.predict(payload["inputs"], name)
         self._send_json(
             200,
             {
@@ -515,13 +313,35 @@ class _Handler(BaseHTTPRequestHandler):
             },
         )
 
-    def _send_metrics(self) -> None:
-        """``GET /metrics``: JSON by default, Prometheus text on request."""
+    def _handle_ratelimit(self, name: str, body: bytes) -> None:
+        if name not in self.server.backend.names():
+            raise ServingError("unknown-model", f"no model named {name!r} is registered")
         try:
-            snapshot = self.server.metrics_snapshot()
-        except FleetError as error:
-            self._send_json(503, {"error": str(error)})
-            return
+            payload = json.loads(body.decode("utf-8")) if body.strip() else None
+        except (ValueError, UnicodeDecodeError) as error:
+            raise ServingError(
+                "bad-request", "request body must be a JSON object or null"
+            ) from error
+        if payload is not None and not (isinstance(payload, dict) and "rate_per_s" in payload):
+            raise ServingError(
+                "bad-request", 'body must be null or carry "rate_per_s" (null clears)'
+            )
+        try:
+            if payload is None:
+                applied = self.server.rate_limiter.set_limit(name, None)
+            else:
+                applied = self.server.rate_limiter.set_limit(
+                    name, payload["rate_per_s"], payload.get("burst")
+                )
+        except (TypeError, ValueError) as error:
+            raise ServingError("bad-request", str(error)) from error
+        self._send_json(200, {"model": name, "limit": applied})
+
+    # ------------------------------------------------------------------
+    # Plumbing
+    # ------------------------------------------------------------------
+    def _send_metrics(self, snapshot: Dict[str, object]) -> None:
+        """``GET /metrics``: JSON by default, Prometheus text on request."""
         query = urlsplit(self.path).query
         accept = self.headers.get("Accept", "")
         as_prometheus = "format=prom" in query or (
@@ -562,17 +382,14 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def create_server(
-    store: Optional[ModelStore],
+    backend: Backend,
     default_model: str,
     host: str = "127.0.0.1",
     port: int = 0,
-    fleet: Optional[FleetSupervisor] = None,
     rate_limiter: Optional[RateLimiter] = None,
 ) -> ServingHTTPServer:
     """Bind (but do not start) a serving server; ``port=0`` picks a free one."""
-    return ServingHTTPServer(
-        (host, port), store, default_model, fleet=fleet, rate_limiter=rate_limiter
-    )
+    return ServingHTTPServer((host, port), backend, default_model, rate_limiter=rate_limiter)
 
 
 def _artifact_name(spec: str) -> Tuple[str, str]:
@@ -582,16 +399,14 @@ def _artifact_name(spec: str) -> Tuple[str, str]:
         if name and path:
             return name, path
     stem = os.path.basename(spec)
-    for suffix in (".npz",):
-        if stem.endswith(suffix):
-            stem = stem[: -len(suffix)]
+    if stem.endswith(".npz"):
+        stem = stem[: -len(".npz")]
     return stem, spec
 
 
 def _parse_rate_limits(specs, parser: argparse.ArgumentParser) -> RateLimiter:
     """Build the admission limiter from ``--rate-limit`` values."""
     default: Optional[RateLimit] = None
-    limiter = RateLimiter()
     named = {}
     for spec in specs:
         name, sep, rest = spec.rpartition("=")
@@ -717,50 +532,39 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         artifacts[name] = path
     default_model = next(iter(artifacts))
 
-    store: Optional[ModelStore] = None
-    fleet: Optional[FleetSupervisor] = None
-    if args.shards >= 2:
-        try:
-            fleet = FleetSupervisor(
+    backend: Backend
+    try:
+        if args.shards >= 2:
+            backend = FleetSupervisor(
                 artifacts,
                 FleetConfig(shards=args.shards, engine=config),
                 default_model=default_model,
             )
-        except (OSError, ValueError, RuntimeError) as error:
-            parser.error(str(error))
-    else:
-        store = ModelStore(capacity=args.capacity, config=config)
-        for name, path in artifacts.items():
-            try:
-                store.register(name, path)
-            except (OSError, ValueError) as error:
-                parser.error(str(error))
-        # Load the default model eagerly: once /healthz answers,
-        # /predict will not pay a cold model load.
-        store.get(default_model)
-
-    def close_backend() -> None:
-        if fleet is not None:
-            fleet.close()
-        if store is not None:
-            store.close()
+        else:
+            backend = ModelStore(capacity=args.capacity, config=config)
+            for name, path in artifacts.items():
+                backend.register(name, path)
+            # Load the default model eagerly: once /healthz answers,
+            # /predict will not pay a cold model load.
+            backend.get(default_model)
+    except (OSError, ValueError, RuntimeError) as error:
+        parser.error(str(error))
 
     try:
         server = create_server(
-            store,
+            backend,
             default_model,
             host=args.host,
             port=args.port,
-            fleet=fleet,
             rate_limiter=_parse_rate_limits(args.rate_limit, parser),
         )
     except OSError as error:
-        close_backend()
+        backend.close()
         parser.error(str(error))
     host, port = server.server_address[:2]
-    backend = f"{args.shards} shard processes" if fleet is not None else "in-process engine"
+    via = "in-process engine" if args.shards == 1 else f"{args.shards} shard processes"
     print(
-        f"serving {list(artifacts)} on http://{host}:{port} via {backend} "
+        f"serving {list(artifacts)} on http://{host}:{port} via {via} "
         "(POST /predict, GET /healthz, GET /models, GET /metrics, "
         "POST /models/{name}/load|evict|ratelimit, POST /drain)",
         flush=True,
@@ -792,7 +596,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print("draining in-flight requests ...", flush=True)
     drained = server.drain()
     server.server_close()
-    close_backend()
+    backend.close()
     serve_thread.join(timeout=5.0)
     if not drained:
         print(f"drain timed out after {DRAIN_TIMEOUT_S}s; exiting anyway", file=sys.stderr)

@@ -10,6 +10,12 @@ closes) the least-recently-used engine to make room.
 All operations are guarded by one lock, so the HTTP frontend's handler
 threads can share a store safely; the engines themselves serialise
 inference on their own scheduler threads.
+
+The store is one of the two serving backends behind the HTTP frontend
+(the other is :class:`~repro.serve.fleet.FleetSupervisor`, whose shard
+workers each host a store): both answer ``predict``, ``names``,
+``describe``, ``load``, ``evict``, ``queue_depth``,
+``metrics_snapshot``, ``health`` and ``close``.
 """
 
 from __future__ import annotations
@@ -19,9 +25,12 @@ from collections import OrderedDict
 from threading import Event, Lock
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.obs.registry import default_registry
 from repro.serve.artifact import read_artifact_meta
 from repro.serve.engine import EngineConfig, ServingEngine
+from repro.serve.errors import ServingError, UnknownModelError
 
 __all__ = ["ModelStore"]
 
@@ -103,9 +112,7 @@ class ModelStore:
                     self._engines.move_to_end(name)
                     return self._engines[name]
                 if name not in self._paths:
-                    raise KeyError(
-                        f"no model named {name!r} is registered; available: {list(self._paths)}"
-                    )
+                    raise UnknownModelError.naming(name, self._paths)
                 in_flight = self._loading.get(name)
                 if in_flight is None:
                     self._loading[name] = Event()
@@ -117,10 +124,14 @@ class ModelStore:
 
         try:
             engine = ServingEngine(path, config=self.config, name=name)
-        except BaseException:
+        except BaseException as error:
             with self._lock:
                 self._loading.pop(name).set()
-            raise
+            if not isinstance(error, Exception):
+                raise
+            # The registered artifact was deleted or corrupted on disk
+            # since registration.
+            raise ServingError("load-failed", f"model {name!r} failed to load: {error}") from error
         evicted: List[ServingEngine] = []
         with self._lock:
             replaced = self._paths.get(name) != path
@@ -144,25 +155,41 @@ class ModelStore:
             return self.get(name)
         return engine
 
-    def evict(self, name: str) -> bool:
+    def predict(self, inputs, model: str) -> np.ndarray:
+        """Logits for ``inputs`` from ``model``'s engine, loading it if cold.
+
+        An engine LRU-evicted (closed) between the lookup and the
+        predict is fetched once more, which reloads it; still closed
+        after that is capacity churn and raises the ``closed`` error.
+        """
+        try:
+            return self.get(model).predict(inputs)
+        except ServingError as error:
+            if error.code != "closed":
+                raise
+        return self.get(model).predict(inputs)
+
+    def load(self, name: str) -> Dict[str, object]:
+        """Warm ``name``'s engine (admin surface)."""
+        self.get(name)
+        return {"model": name, "ok": True}
+
+    def evict(self, name: str) -> Dict[str, object]:
         """Drop ``name``'s resident engine (admin surface; path stays registered).
 
-        Returns whether an engine was actually resident.  Raises
-        ``KeyError`` for a name that was never registered, so the HTTP
-        layer can distinguish 404 from an eviction of a cold model.
+        ``was_loaded`` reports whether an engine was actually resident;
+        a name that was never registered raises the ``unknown-model``
+        error, so an eviction of a cold model is not a 404.
         """
         with self._lock:
             if name not in self._paths:
-                raise KeyError(
-                    f"no model named {name!r} is registered; available: {list(self._paths)}"
-                )
+                raise UnknownModelError.naming(name, self._paths)
             engine = self._engines.pop(name, None)
             _M_RESIDENT.set(len(self._engines))
-        if engine is None:
-            return False
-        _M_ADMIN_EVICTIONS.inc()
-        engine.close()
-        return True
+        if engine is not None:
+            _M_ADMIN_EVICTIONS.inc()
+            engine.close()
+        return {"model": name, "ok": True, "was_loaded": engine is not None}
 
     def queue_depth(self) -> int:
         """Requests queued across every resident engine (for ``/healthz``)."""
@@ -181,6 +208,14 @@ class ModelStore:
                 {"name": name, "path": path, "loaded": name in self._engines, **self._meta[name]}
                 for name, path in self._paths.items()
             ]
+
+    def metrics_snapshot(self) -> Dict[str, object]:
+        """This process's ``repro-metrics/v1`` snapshot (engines, store, HTTP)."""
+        return default_registry().snapshot()
+
+    def health(self) -> Dict[str, object]:
+        """The backend half of ``/healthz``."""
+        return {"status": "ok", "models": self.names(), "loaded": self.loaded()}
 
     def close(self) -> None:
         """Close every resident engine and forget them (paths stay registered)."""

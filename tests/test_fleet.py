@@ -39,7 +39,6 @@ from repro.serve import (
     RetryPolicy,
     ServingEngine,
     ServingError,
-    WorkerError,
     create_server,
     export_artifact,
 )
@@ -235,7 +234,7 @@ class TestFleetServing:
             fleet.predict(images[:1], model="missing")
 
     def test_bad_shape_reported_as_worker_error(self, fleet):
-        with pytest.raises(WorkerError) as info:
+        with pytest.raises(ServingError) as info:
             fleet.predict(np.zeros((2, 1, 16, 16)))
         assert info.value.code == "bad-request"
         assert not info.value.retryable
@@ -271,6 +270,22 @@ class TestFleetServing:
         assert fleet.names() == ["model"]
         described = fleet.describe()
         assert described[0]["name"] == "model" and described[0]["loaded"]
+
+    def test_close_leaves_no_thread_or_worker_process(self, sealed, images):
+        before = set(threading.enumerate())
+        pool = FleetSupervisor({"m": sealed}, FleetConfig(shards=2))
+        pool.predict(images[:1])
+        with pool._lock:
+            processes = [slot.link.process for slot in pool._slots if slot.link is not None]
+        assert len(processes) == 2
+        pool.close()
+        leaked = [
+            thread.name
+            for thread in threading.enumerate()
+            if thread not in before and thread.name.startswith("fleet-")
+        ]
+        assert leaked == []
+        assert not any(process.is_alive() for process in processes)
 
     def test_close_is_idempotent_and_final(self, sealed, images):
         pool = FleetSupervisor({"m": sealed}, FleetConfig(shards=1))
@@ -395,7 +410,7 @@ class TestFailover:
             retry_after_s=2.0,
         )
         with FleetSupervisor({"model": sealed}, config) as pool:
-            server = create_server(None, "model", fleet=pool)
+            server = create_server(pool, "model")
             thread = threading.Thread(target=server.serve_forever, daemon=True)
             thread.start()
             host, port = server.server_address[:2]
@@ -456,7 +471,7 @@ class TestFailover:
 class TestFleetHTTP:
     @pytest.fixture(scope="class")
     def server(self, fleet):
-        server = create_server(None, "model", fleet=fleet)
+        server = create_server(fleet, "model")
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         yield server
@@ -547,6 +562,12 @@ class TestFleetHTTP:
         with pytest.raises(ServingError) as info:
             client.evict("missing")
         assert info.value.status == 404
+
+    def test_predict_after_evict_reloads_the_model(self, client, images, expected):
+        """An evicted model reloads on demand, exactly like in-process serving."""
+        assert client.evict("model")["ok"] is True
+        got = client.predict(images[2][None])  # no explicit load
+        np.testing.assert_array_equal(got, expected[2][None])
 
 
 # ----------------------------------------------------------------------
