@@ -1,18 +1,17 @@
-"""Substrate micro-benchmarks: forward/backward throughput of the numpy engine.
+"""Engine direction-of-effect contracts that need paired measurements.
 
-The payloads are the registered :mod:`repro.bench` specs — this file is
-a thin pytest-benchmark wrapper over the registry (so ``--benchmark-json
-BENCH_engine.json`` keeps tracking the same numbers CI gates on), plus
-the engine's two direction-of-effect contracts that need paired
-measurements rather than baselines: Conv+BN fusion must agree with the
-unfused model, and the ``float32`` default must stay faster than the
-``float64`` path it replaced.
+The engine's throughput numbers are registered :mod:`repro.bench`
+specs (``engine.*``, ``tensor.*``), run by ``test_bench_suite.py`` and
+gated against baselines by ``python -m repro.bench compare``.  The
+three ``*_throughput`` tests run those payloads several times on one
+state, untimed.  The rest cannot be a baseline: Conv+BN fusion must
+agree with the unfused model, and the ``float32`` default must stay
+faster than the ``float64`` path it replaced.
 """
 
 import os
 
 import numpy as np
-import pytest
 
 from repro.bench import best_wall, get_bench
 from repro.models.heads import ClassifierHead
@@ -21,32 +20,34 @@ from repro.nn.fuse import fuse
 from repro.tensor import Tensor, cross_entropy, default_dtype, default_dtype_scope, no_grad
 
 
-def _bench_registered(benchmark, name: str, rounds: int) -> None:
+def _run_registered(name: str, rounds: int) -> None:
+    """Run a registered spec's payload ``rounds`` times on one setup state.
+
+    The payloads raise on non-finite losses or logits, so repeated calls
+    on the same model check the engine stays numerically sound across
+    steps; the timings themselves are the spec's job.
+    """
     spec = get_bench(name)
     state = spec.setup()
-    benchmark.pedantic(spec.payload, args=(state,), rounds=rounds, iterations=1, warmup_rounds=1)
+    for _ in range(rounds):
+        spec.payload(state)
 
 
-def test_resnet18_train_step_throughput(benchmark):
-    _bench_registered(benchmark, "engine.train_step", rounds=3)
+def test_resnet18_train_step_throughput():
+    _run_registered("engine.train_step", rounds=3)
 
 
-def test_resnet50_train_step_throughput(benchmark):
-    _bench_registered(benchmark, "engine.train_step_resnet50", rounds=2)
-
-
-def test_resnet18_fused_inference_throughput(benchmark):
-    """Eval-path timing through the Conv+BN-folded model (repro.nn.fuse).
+def test_resnet18_fused_inference_throughput():
+    """Eval path through the Conv+BN-folded model (repro.nn.fuse).
 
     This is the configuration ``Trainer.evaluate`` and
-    ``predict_logits`` actually run, so this number is the per-step
-    eval time the sweep grids pay.
+    ``predict_logits`` actually run.
     """
-    _bench_registered(benchmark, "engine.fused_inference", rounds=5)
+    _run_registered("engine.fused_inference", rounds=5)
 
 
-def test_conv2d_throughput(benchmark):
-    _bench_registered(benchmark, "tensor.conv2d_train", rounds=5)
+def test_conv2d_throughput():
+    _run_registered("tensor.conv2d_train", rounds=5)
 
 
 def test_conv_bn_fusion_speedup():
@@ -90,14 +91,14 @@ def test_conv_bn_fusion_speedup():
 
 
 def test_default_dtype_is_float32():
-    """The engine ships single-precision; the benchmark numbers above rely on it."""
+    """The engine ships single-precision; the registered engine specs rely on it."""
     assert default_dtype() == np.float32
 
 
 def test_float32_speedup_over_float64():
     """Training step under the float32 default vs the historical float64 path.
 
-    Uses a wider backbone than the micro-benchmarks above so the im2col
+    Uses a wider backbone than the ``engine.train_step`` spec so the im2col
     GEMMs dominate over per-op python overhead, which is where the
     precision choice pays off.
     """

@@ -5,8 +5,8 @@ from repro.experiments import fig1_omp_finetune
 from benchmarks.conftest import report
 
 
-def test_fig1_omp_finetune(run_once, scale, context, workers):
-    table = run_once(fig1_omp_finetune.run, scale=scale, context=context, workers=workers)
+def test_fig1_omp_finetune(scale, context, workers):
+    table = fig1_omp_finetune.run(scale=scale, context=context, workers=workers)
     report(table)
 
     # Shape checks: every (model, task, sparsity) point carries both arms.

@@ -1,10 +1,24 @@
-"""Setuptools shim so ``pip install -e .`` works without network access.
+"""Package metadata, so ``pip install -e .`` works without network access.
 
-The offline environment lacks the ``wheel`` package required by PEP 660
-editable installs, so this file enables the legacy ``setup.py develop``
-path.  All project metadata lives in ``pyproject.toml``.
+PEP 660 editable installs need the ``wheel`` package; with the metadata
+here, the legacy ``setup.py develop`` path works without it.  There is
+no ``pyproject.toml``.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "_version.py").read_text(encoding="utf-8"),
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+)

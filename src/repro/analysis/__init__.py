@@ -12,8 +12,8 @@ Three pillars, one package:
   proving shape compatibility, BN channel agreement, and mask/weight
   shape matches without running a forward pass.  ``repro.serve`` runs
   :func:`check_model` before sealing an artifact.
-* **Runtime sanitizer** (:mod:`repro.analysis.sanitize`, implemented in
-  :mod:`repro.tensor.sanitize`): ``REPRO_SANITIZE=1`` or
+* **Runtime sanitizer** (implemented in :mod:`repro.tensor.sanitize`,
+  re-exported here): ``REPRO_SANITIZE=1`` or
   :func:`sanitize_scope` instruments every tensor op and module forward
   to raise on NaN/Inf, naming the offending op and layer.
 
@@ -32,7 +32,7 @@ from repro.analysis.findings import (
 )
 from repro.analysis.graph import GraphCheckError, check_model, register_handler
 from repro.analysis.rules import ALL_RULES, rule_ids
-from repro.analysis.sanitize import (
+from repro.tensor.sanitize import (
     SanitizeError,
     is_sanitize_active,
     sanitize_scope,

@@ -28,7 +28,6 @@ from repro.bench.harness import (
     BenchResult,
     artifact_calibration,
     artifact_results,
-    best_wall,
     load_artifact,
     measure,
     run_suite,
@@ -45,6 +44,7 @@ from repro.bench.spec import (
     register,
     suite_benchmarks,
 )
+from repro.utils.timing import best_wall
 
 __all__ = [
     "ARTIFACT_FORMAT",

@@ -27,7 +27,6 @@ from repro.bench.calibrate import Calibration, calibrate
 from repro.bench.spec import BenchSpec
 from repro.tensor.dtypes import ACCUMULATION_DTYPE
 from repro.utils.checkpoint import staging_path
-from repro.utils.timing import best_wall  # noqa: F401  (re-export: ad-hoc paired timings)
 
 #: Format tag stamped into (and required from) benchmark run artifacts.
 ARTIFACT_FORMAT = "repro-bench/v1"

@@ -25,7 +25,6 @@ from repro.experiments.registry import (
     available_experiments,
     get_spec,
     run_experiment,
-    supports_workers,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "get_spec",
     "run_experiment",
     "available_experiments",
-    "supports_workers",
 ]

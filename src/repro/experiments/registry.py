@@ -66,16 +66,6 @@ def get_spec(identifier: str) -> ExperimentSpec:
     return EXPERIMENTS[identifier]
 
 
-def supports_workers(identifier: str) -> bool:
-    """Deprecated: every registered experiment supports ``workers`` now.
-
-    Kept (always ``True`` for known ids) so older callers keep working;
-    unknown identifiers still raise ``KeyError``.
-    """
-    get_spec(identifier)
-    return True
-
-
 def run_experiment(
     identifier: str,
     scale="smoke",

@@ -39,7 +39,6 @@ from repro.tensor.sanitize import (
 )
 from repro.tensor.sparse import (
     SparsePolicy,
-    sparse_backend,
     sparse_policy_scope,
 )
 from repro.tensor.tensor import Tensor, no_grad, is_grad_enabled, as_tensor
@@ -81,7 +80,6 @@ __all__ = [
     "sanitize_scope",
     "set_sanitize",
     "SparsePolicy",
-    "sparse_backend",
     "sparse_policy_scope",
     "no_grad",
     "is_grad_enabled",

@@ -28,7 +28,7 @@ The module-path attribution is maintained by
 :meth:`~repro.tensor.tensor.Tensor._accumulate` (backward).  This
 module deliberately imports nothing from the rest of the engine so the
 hot paths can hook into it without import cycles; the public face is
-:mod:`repro.analysis.sanitize`.
+:mod:`repro.analysis`.
 """
 
 from __future__ import annotations

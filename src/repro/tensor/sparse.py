@@ -8,15 +8,9 @@ produce — ``W @ columns`` (the im2col convolution in
 :func:`repro.tensor.conv.conv2d`) and ``x @ W.T`` (``Linear``) — with a
 sparse kernel when it is measured to win.
 
-Backends
---------
-``scipy.sparse`` is the accelerated backend (scipy is already a
-declared dependency of this project's metrics).  Without scipy a pure
-numpy CSR kernel (row-gather + segmented ``np.add.reduceat``) keeps the
-path functional, but it never beats OpenBLAS dense GEMM on this
-engine's shapes, so ``auto`` mode disables dispatch when scipy is
-missing; the fallback exists for ``force`` mode (tests, correctness
-bounds) and for environments that strip scipy.
+The kernel is ``scipy.sparse`` CSR (scipy is a declared dependency).
+A pure-numpy CSR kernel was measured to lose to OpenBLAS dense GEMM
+at every sparsity this engine produces, so there is none.
 
 Dispatch policy
 ---------------
@@ -50,11 +44,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import scipy.sparse as _scipy_sparse
-except Exception:  # pragma: no cover - scipy is a declared dependency
-    _scipy_sparse = None
+from scipy.sparse import csr_array
 
 __all__ = [
     "SparsePolicy",
@@ -89,8 +79,8 @@ DEFAULT_MIN_COLS = 32
 
 
 def sparse_backend() -> str:
-    """Name of the active sparse kernel backend: ``scipy`` or ``numpy``."""
-    return "scipy" if _scipy_sparse is not None else "numpy"
+    """Name of the CSR kernel backend, recorded in run environments."""
+    return "scipy"
 
 
 # ----------------------------------------------------------------------
@@ -122,10 +112,6 @@ def _policy_from_env() -> SparsePolicy:
     mode = os.environ.get("REPRO_SPARSE", "auto").strip().lower()
     mode = {"0": "off", "1": "auto", "": "auto"}.get(mode, mode)
     threshold = float(os.environ.get("REPRO_SPARSE_THRESHOLD", DEFAULT_THRESHOLD))
-    if mode == "auto" and _scipy_sparse is None:
-        # The numpy fallback kernel loses to BLAS at every sparsity this
-        # engine produces, so without scipy nothing qualifies "auto".
-        mode = "off"
     return SparsePolicy(mode=mode, threshold=threshold)
 
 
@@ -162,63 +148,21 @@ def sparse_policy_scope(**overrides):
 # ----------------------------------------------------------------------
 # CSR kernels
 # ----------------------------------------------------------------------
-def _csr_from_dense(weight: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major CSR triplet ``(data, indices, indptr)`` of a 2-D array."""
-    nonzero = weight != 0
-    indptr = np.zeros(weight.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
-    indices = np.nonzero(nonzero)[1].astype(np.int64, copy=False)
-    data = weight[nonzero]
-    return data, indices, indptr
-
-
-def _numpy_csr_matmul(
-    csr: Tuple[np.ndarray, np.ndarray, np.ndarray], dense: np.ndarray
-) -> np.ndarray:
-    """``W @ dense`` from a CSR triplet, in pure numpy.
-
-    Gathers the needed rows of ``dense``, scales them by the stored
-    values, and collapses each output row with one segmented
-    ``np.add.reduceat``.  Empty rows are excluded from the segment
-    starts (``reduceat`` would otherwise read a neighbouring segment)
-    and stay zero.
-    """
-    data, indices, indptr = csr
-    rows = indptr.size - 1
-    out = np.zeros((rows, dense.shape[1]), dtype=np.result_type(data, dense))
-    if data.size == 0:
-        return out
-    products = dense[indices] * data[:, None]
-    nonempty = np.flatnonzero(np.diff(indptr))
-    if nonempty.size == 1:
-        out[nonempty[0]] = products.sum(axis=0)
-    else:
-        out[nonempty] = np.add.reduceat(products, indptr[nonempty], axis=0)
-    return out
-
-
 class _CsrKernel:
     """One cached weight matrix in CSR form, with its validation token."""
 
-    __slots__ = ("owner", "shape", "dtype", "nnz", "_scipy", "_triplet")
+    __slots__ = ("owner", "shape", "dtype", "nnz", "_csr")
 
     def __init__(self, owner: np.ndarray, matrix: np.ndarray, nnz: int) -> None:
         self.owner = owner  # strong ref: keeps id(owner) valid while cached
         self.shape = matrix.shape
         self.dtype = matrix.dtype
         self.nnz = nnz
-        if _scipy_sparse is not None:
-            self._scipy = _scipy_sparse.csr_array(matrix)
-            self._triplet = None
-        else:
-            self._scipy = None
-            self._triplet = _csr_from_dense(matrix)
+        self._csr = csr_array(matrix)
 
     def matmul(self, dense: np.ndarray) -> np.ndarray:
-        """``W @ dense`` through the active backend."""
-        if self._scipy is not None:
-            return np.asarray(self._scipy @ dense)
-        return _numpy_csr_matmul(self._triplet, dense)
+        """``W @ dense``."""
+        return np.asarray(self._csr @ dense)
 
 
 # Keyed by id() of the owning (base) array; entries hold a strong

@@ -3,7 +3,6 @@
 from repro.utils.seeding import seeded_rng, spawn_rngs, seed_everything
 from repro.utils.checkpoint import save_state_dict, load_state_dict
 from repro.utils.logging import get_logger, MetricLogger
-from repro.utils.timing import Timer
 
 __all__ = [
     "seeded_rng",
@@ -13,5 +12,4 @@ __all__ = [
     "load_state_dict",
     "get_logger",
     "MetricLogger",
-    "Timer",
 ]

@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 
 def best_wall(work: Callable[[], Any], repeats: int = 5, warmup: int = 1) -> float:
     """Best-of-``repeats`` wall-time of ``work`` after ``warmup`` calls.
 
-    The one timing loop shared by the benchmark harness
-    (:mod:`repro.bench.harness`), the machine calibration
-    (:mod:`repro.bench.calibrate`), and ad-hoc paired measurements in
-    the pytest benchmark wrappers — so a fix to how time is taken
-    applies to the calibration unit and the measurements alike.
+    The one timing loop shared by the machine calibration
+    (:mod:`repro.bench.calibrate`), the paired measurements inside the
+    registered specs (:mod:`repro.bench.specs`) and the engine ablation
+    tests — so a fix to how time is taken applies to the calibration
+    unit and the measurements alike.
     """
     for _ in range(warmup):
         work()
@@ -24,27 +24,3 @@ def best_wall(work: Callable[[], Any], repeats: int = 5, warmup: int = 1) -> flo
         best = min(best, time.perf_counter() - start)
     return best
 
-
-class Timer:
-    """Context-manager stopwatch.
-
-    Example
-    -------
-    >>> with Timer() as timer:
-    ...     _ = sum(range(1000))
-    >>> timer.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._start: Optional[float] = None
-        self.elapsed: float = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._start is not None:
-            self.elapsed = time.perf_counter() - self._start
-            self._start = None

@@ -3,9 +3,16 @@
 Everything here is intentionally minuscule (base width 4, a few dozen
 samples, one or two epochs) so the whole unit-test suite runs in a few
 minutes on CPU; the benchmark harness exercises the realistic scales.
+
+The session ends with a leak check: a thread or child process that
+outlives every test fails the run (see :func:`pytest_sessionfinish`).
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from multiprocessing import active_children, resource_tracker
 
 import numpy as np
 import pytest
@@ -25,6 +32,51 @@ from repro.data.tasks import downstream_task, source_task
 from repro.models.heads import ClassifierHead
 from repro.models.resnet import resnet18, resnet50
 from repro.utils.seeding import seeded_rng
+
+
+def _live_children() -> list:
+    """PIDs of this process's live (not yet exited) child processes."""
+    if not os.path.isdir("/proc"):
+        return [child.pid for child in active_children()]
+    parent = os.getpid()
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited while we looked
+        # Fields after the parenthesised command name: state, ppid, ...
+        state, ppid = stat[stat.rindex(")") + 2 :].split()[:2]
+        if int(ppid) == parent and state != "Z":
+            children.append(int(entry))
+    return children
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_sessionfinish(session):
+    """Fail the run if any thread or child process outlived the tests.
+
+    Runs after session fixtures are torn down.  The one exemption is
+    multiprocessing's resource tracker, which lives for the interpreter
+    by design.
+    """
+    threads = [
+        thread.name for thread in threading.enumerate() if thread is not threading.main_thread()
+    ]
+    tracker = resource_tracker._resource_tracker._pid
+    children = [pid for pid in _live_children() if pid != tracker]
+    if not threads and not children:
+        return
+    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+    if reporter is not None:
+        reporter.ensure_newline()
+        reporter.write_sep("=", "leak check", red=True)
+        reporter.write_line(f"threads still alive: {threads}")
+        reporter.write_line(f"child processes still alive: {children}")
+    session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture(autouse=True)

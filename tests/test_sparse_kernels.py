@@ -1,4 +1,4 @@
-"""CSR/bit-packed sparse execution kernels: backend equivalence, policy
+"""CSR/bit-packed sparse execution kernels: dense equivalence, policy
 and env parsing, cache validation/invalidation, engine dispatch from
 conv2d and Linear matmul, and exact pack/unpack round-trips."""
 
@@ -67,38 +67,13 @@ class TestPackUnpack:
 
 
 # ----------------------------------------------------------------------
-# CSR kernels (both backends)
+# CSR kernel
 # ----------------------------------------------------------------------
 class TestCsrKernels:
-    @pytest.mark.parametrize("zero_fraction", [0.3, 0.9, 0.995])
-    def test_numpy_kernel_matches_dense(self, rng, zero_fraction):
-        weight = sparse_matrix(rng, (17, 29), zero_fraction)
-        dense = rng.normal(size=(29, 11))
-        triplet = sparse._csr_from_dense(weight)
-        assert np.allclose(sparse._numpy_csr_matmul(triplet, dense), weight @ dense)
-
-    def test_numpy_kernel_handles_empty_and_single_rows(self, rng):
-        weight = np.zeros((5, 8))
-        weight[2, 3] = 1.5  # exactly one nonempty row
-        dense = rng.normal(size=(8, 4))
-        triplet = sparse._csr_from_dense(weight)
-        assert np.allclose(sparse._numpy_csr_matmul(triplet, dense), weight @ dense)
-        all_zero = sparse._csr_from_dense(np.zeros((3, 8)))
-        assert not sparse._numpy_csr_matmul(all_zero, dense).any()
-
     def test_active_backend_kernel_matches_dense(self, rng):
         weight = sparse_matrix(rng, (24, 40), 0.95)
         dense = rng.normal(size=(40, 33))
         kernel = sparse._CsrKernel(weight, weight, int(np.count_nonzero(weight)))
-        assert np.allclose(kernel.matmul(dense), weight @ dense)
-
-    def test_numpy_fallback_backend(self, rng, monkeypatch):
-        monkeypatch.setattr(sparse, "_scipy_sparse", None)
-        assert sparse.sparse_backend() == "numpy"
-        weight = sparse_matrix(rng, (24, 40), 0.95)
-        dense = rng.normal(size=(40, 33))
-        kernel = sparse._CsrKernel(weight, weight, int(np.count_nonzero(weight)))
-        assert kernel._scipy is None
         assert np.allclose(kernel.matmul(dense), weight @ dense)
 
 
@@ -118,11 +93,6 @@ class TestPolicy:
         policy = sparse._policy_from_env()
         assert policy.mode == "force" and policy.threshold == 0.5
         monkeypatch.setenv("REPRO_SPARSE", "0")
-        assert sparse._policy_from_env().mode == "off"
-
-    def test_auto_degrades_to_off_without_scipy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPARSE", raising=False)
-        monkeypatch.setattr(sparse, "_scipy_sparse", None)
         assert sparse._policy_from_env().mode == "off"
 
     def test_policy_scope_restores(self):
@@ -154,10 +124,7 @@ class TestDispatch:
         dense = rng.normal(size=(256, 64))
         with sparse_policy_scope(mode="auto", threshold=0.9, min_size=1, min_cols=1):
             out = maybe_sparse_gemm(weight, dense)
-        if sparse.sparse_backend() == "numpy":
-            assert out is None  # auto never routes through the losing fallback
-        else:
-            assert out is not None and np.allclose(out, weight @ dense)
+        assert out is not None and np.allclose(out, weight @ dense)
 
     def test_force_matches_dense_both_orientations(self, rng):
         weight = sparse_matrix(rng, (48, 96), 0.9)

@@ -1,4 +1,4 @@
-"""Unit tests for seeding, checkpointing, logging, and timing utilities."""
+"""Unit tests for seeding, checkpointing, and logging utilities."""
 
 import os
 
@@ -8,7 +8,6 @@ import pytest
 from repro.models.resnet import resnet18
 from repro.utils import (
     MetricLogger,
-    Timer,
     load_state_dict,
     save_state_dict,
     seed_everything,
@@ -113,10 +112,3 @@ class TestMetricLogger:
         assert np.isnan(logger.last("nope"))
         assert np.isnan(logger.mean("nope"))
         assert logger.last("nope", default=7.0) == 7.0
-
-
-class TestTimer:
-    def test_elapsed_non_negative(self):
-        with Timer() as timer:
-            sum(range(1000))
-        assert timer.elapsed >= 0.0
